@@ -19,7 +19,6 @@ package core
 // milliseconds.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,6 +26,7 @@ import (
 	"rlts/internal/buffer"
 	"rlts/internal/geo"
 	"rlts/internal/rl"
+	"rlts/internal/wire"
 )
 
 // StreamerStateVersion guards the streamer-state wire format; bump on
@@ -95,7 +95,9 @@ func ResumeStreamer(p *rl.Policy, opts Options, st *StreamerState, r *rand.Rand)
 	if err := st.validate(opts); err != nil {
 		return nil, err
 	}
-	buf, err := buffer.Restore(st.Entries, st.W+1)
+	// Size the buffer by the entries present, not by W: a corrupt W must
+	// not drive an allocation (the heap grows by append past the hint).
+	buf, err := buffer.Restore(st.Entries, len(st.Entries)+1)
 	if err != nil {
 		return nil, fmt.Errorf("core: resume streamer: %w", err)
 	}
@@ -209,7 +211,7 @@ const streamerEntryBytes = 8 * 6
 
 // AppendBinary appends the versioned wire encoding of the state to b.
 func (st *StreamerState) AppendBinary(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, StreamerStateVersion)
+	b = wire.AppendU32(b, StreamerStateVersion)
 	var flags byte
 	if st.Sample {
 		flags |= 1
@@ -218,23 +220,19 @@ func (st *StreamerState) AppendBinary(b []byte) []byte {
 		flags |= 2
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.W))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Seen))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Skip))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Skipped))
-	b = binary.LittleEndian.AppendUint64(b, st.Draws)
-	b = appendFloat(b, st.ErrEst)
-	b = appendFloat(b, st.Last.X)
-	b = appendFloat(b, st.Last.Y)
-	b = appendFloat(b, st.Last.T)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Entries)))
+	b = wire.AppendU32(b, uint32(st.W))
+	b = wire.AppendU64(b, uint64(st.Seen))
+	b = wire.AppendU64(b, uint64(st.Skip))
+	b = wire.AppendU64(b, uint64(st.Skipped))
+	b = wire.AppendU64(b, st.Draws)
+	b = wire.AppendF64(b, st.ErrEst)
+	b = wire.AppendPoint(b, st.Last)
+	b = wire.AppendU32(b, uint32(len(st.Entries)))
 	for _, e := range st.Entries {
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.Index))
-		b = appendFloat(b, e.P.X)
-		b = appendFloat(b, e.P.Y)
-		b = appendFloat(b, e.P.T)
-		b = appendFloat(b, e.Value)
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.HeapPos)))
+		b = wire.AppendU64(b, uint64(e.Index))
+		b = wire.AppendPoint(b, e.P)
+		b = wire.AppendF64(b, e.Value)
+		b = wire.AppendU64(b, uint64(int64(e.HeapPos)))
 	}
 	return b
 }
@@ -245,106 +243,31 @@ func (st *StreamerState) AppendBinary(b []byte) []byte {
 // happens in ResumeStreamer, so a decoded state is not necessarily a
 // usable one.
 func DecodeStreamerState(data []byte) (*StreamerState, error) {
-	d := byteReader{buf: data}
-	ver := d.u32()
-	if d.err == nil && ver != StreamerStateVersion {
+	d := wire.NewReader(data)
+	if ver := d.U32(); d.Err() == nil && ver != StreamerStateVersion {
 		return nil, fmt.Errorf("core: streamer state version %d, want %d", ver, StreamerStateVersion)
 	}
-	flags := d.u8()
+	flags := d.U8()
+	if flags&^3 != 0 {
+		return nil, fmt.Errorf("core: streamer state has unknown flag bits %#x", flags)
+	}
 	st := &StreamerState{
 		Sample:  flags&1 != 0,
 		HasLast: flags&2 != 0,
+		W:       int(d.U32()),
+		Seen:    d.Count(),
+		Skip:    d.Count(),
+		Skipped: d.Count(),
+		Draws:   d.U64(),
+		ErrEst:  d.F64(),
+		Last:    d.Point(),
 	}
-	st.W = int(d.u32())
-	st.Seen = d.count()
-	st.Skip = d.count()
-	st.Skipped = d.count()
-	st.Draws = d.u64()
-	st.ErrEst = d.f64()
-	st.Last.X = d.f64()
-	st.Last.Y = d.f64()
-	st.Last.T = d.f64()
-	n := d.u32()
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decode streamer state: %w", d.err)
-	}
-	if rem := len(data) - d.off; int(n)*streamerEntryBytes != rem {
-		return nil, fmt.Errorf("core: decode streamer state: %d entries declared, %d bytes remain", n, rem)
-	}
-	st.Entries = make([]buffer.EntryState, n)
+	st.Entries = make([]buffer.EntryState, d.Len(streamerEntryBytes))
 	for i := range st.Entries {
-		e := &st.Entries[i]
-		e.Index = d.count()
-		e.P.X = d.f64()
-		e.P.Y = d.f64()
-		e.P.T = d.f64()
-		e.Value = d.f64()
-		e.HeapPos = int(int64(d.u64()))
+		st.Entries[i] = buffer.EntryState{Index: d.Count(), P: d.Point(), Value: d.F64(), HeapPos: int(d.I64())}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decode streamer state: %w", d.err)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: decode streamer state: %w", err)
 	}
 	return st, nil
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// byteReader is a bounds-checked little-endian cursor: reads past the
-// end set err and return zeros instead of panicking, so decoders can
-// read a whole header and check err once.
-type byteReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *byteReader) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at byte %d (need %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *byteReader) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *byteReader) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *byteReader) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *byteReader) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a u64 that must fit a non-negative int.
-func (d *byteReader) count() int {
-	v := d.u64()
-	if d.err == nil && v > math.MaxInt32 {
-		d.err = fmt.Errorf("implausible count %d at byte %d", v, d.off)
-		return 0
-	}
-	return int(v)
 }

@@ -134,9 +134,6 @@ func (tr *Tracker) Prev(i int) int { return tr.prev[i] }
 // Next returns the kept successor of kept index i, or -1 at the tail.
 func (tr *Tracker) Next(i int) int { return tr.next[i] }
 
-// LinkError returns the stored error of the link starting at kept index a.
-func (tr *Tracker) LinkError(a int) float64 { return tr.segErr[a] }
-
 func (tr *Tracker) addLink(a, b int) {
 	e := SegmentError(tr.m, tr.t, a, b)
 	tr.segErr[a] = e

@@ -11,7 +11,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -233,18 +232,6 @@ func (c *Context) rlts(tr *core.Trained) Algorithm {
 	return RLTSAlgorithmConcurrent(tr, c.Seed)
 }
 
-// RLTSAlgorithm wraps a trained policy as an Algorithm, using the paper's
-// inference mode for its variant (sample online, argmax batch).
-func RLTSAlgorithm(tr *core.Trained, seed int64) Algorithm {
-	r := rand.New(rand.NewSource(seed))
-	return Algorithm{
-		Name: tr.Opts.Name(),
-		Run: func(t traj.Trajectory, w int) ([]int, error) {
-			return tr.Simplify(t, w, r)
-		},
-	}
-}
-
 // MeasureResult is one (algorithm, setting) cell: mean error and timing.
 type MeasureResult struct {
 	Algorithm string
@@ -262,29 +249,12 @@ func (r MeasureResult) PerPoint() time.Duration {
 }
 
 // RunSet evaluates an algorithm over a dataset at budget ratio wRatio and
-// returns the mean error under measure m plus total wall-clock time.
+// returns the mean error under measure m plus total wall-clock time. It
+// is RunSetParallel on one worker: trajectories run in dataset order, so
+// an algorithm that shares state across calls (a single sampling RNG, a
+// policy's forward scratch) sees the same call sequence as a plain loop.
 func RunSet(a Algorithm, data []traj.Trajectory, wRatio float64, m errm.Measure) (MeasureResult, error) {
-	res := MeasureResult{Algorithm: a.Name}
-	for _, t := range data {
-		w := budget(len(t), wRatio)
-		start := time.Now()
-		kept, err := a.Run(t, w)
-		res.Total += time.Since(start)
-		if err == nil {
-			// Same guard as RunSetParallel: refuse malformed index sets
-			// before they skew the mean or panic inside errm.Error.
-			err = errm.CheckKept(t, kept)
-		}
-		if err != nil {
-			return res, fmt.Errorf("eval: %s: %w", a.Name, err)
-		}
-		res.MeanErr += errm.Error(m, t, kept)
-		res.Points += len(t)
-	}
-	if len(data) > 0 {
-		res.MeanErr /= float64(len(data))
-	}
-	return res, nil
+	return RunSetParallel(a, data, wRatio, m, 1)
 }
 
 func budget(n int, ratio float64) int {

@@ -13,23 +13,21 @@ import (
 	"rlts/internal/traj"
 )
 
-// RunSetParallel is RunSet with the per-trajectory work spread over
-// workers goroutines (0 = GOMAXPROCS). a.Run must be safe for concurrent
-// use: the baseline algorithms are; for a trained policy use
-// RLTSAlgorithmConcurrent rather than RLTSAlgorithm (whose sampling RNG is
-// shared).
+// RunSetParallel is the one per-trajectory runner: it spreads the work
+// over workers goroutines (0 = GOMAXPROCS) and sums the per-trajectory
+// errors in dataset order, so MeanErr is bit-identical at every worker
+// count. a.Run must be safe for concurrent use when workers > 1: the
+// baseline algorithms are; for a trained policy use
+// RLTSAlgorithmConcurrent.
 //
-// The reported Total is the summed per-trajectory wall-clock (comparable
-// with RunSet), not the elapsed time of the parallel run.
+// The reported Total is the summed per-trajectory wall-clock, not the
+// elapsed time of the parallel run.
 func RunSetParallel(a Algorithm, data []traj.Trajectory, wRatio float64, m errm.Measure, workers int) (MeasureResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(data) {
 		workers = len(data)
-	}
-	if workers <= 1 {
-		return RunSet(a, data, wRatio, m)
 	}
 	type cell struct {
 		err      error

@@ -107,49 +107,6 @@ func newBatchMetricsSet(reg *obs.Registry) *batchMetricsSet {
 	}
 }
 
-// batchRunner owns the per-policy BatchEngine pools and the batch
-// metrics. Engines hold policy clones and per-run scratch, so pooling
-// them keeps the steady-state request path allocation-light while every
-// concurrent worker still gets exclusive scratch.
-type batchRunner struct {
-	cfg Config
-	met *batchMetricsSet
-
-	mu    sync.Mutex
-	pools map[*core.Trained]*sync.Pool
-}
-
-func newBatchRunner(cfg Config) *batchRunner {
-	return &batchRunner{
-		cfg:   cfg,
-		met:   newBatchMetricsSet(cfg.Metrics),
-		pools: make(map[*core.Trained]*sync.Pool),
-	}
-}
-
-// engine checks an idle engine for p out of the pool, building one (over
-// its own policy clone, always greedy — the serving convention) on miss.
-func (b *batchRunner) engine(p *core.Trained) (*core.BatchEngine, error) {
-	b.mu.Lock()
-	pool, ok := b.pools[p]
-	if !ok {
-		pool = &sync.Pool{}
-		b.pools[p] = pool
-	}
-	b.mu.Unlock()
-	if e, ok := pool.Get().(*core.BatchEngine); ok {
-		return e, nil
-	}
-	return core.NewBatchEngine(p.Policy.Clone(), p.Opts, false)
-}
-
-func (b *batchRunner) release(p *core.Trained, e *core.BatchEngine) {
-	b.mu.Lock()
-	pool := b.pools[p]
-	b.mu.Unlock()
-	pool.Put(e)
-}
-
 // itemBudget resolves one item's storage budget (item override first,
 // then the request default) without writing to the response, returning
 // an inline failure instead.
@@ -212,9 +169,8 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			req.Algorithm, m)
 		return
 	}
-	// FastMath opt-in: swap in the fast registry entry. The engine pools
-	// key on the *core.Trained pointer, so fast and exact requests draw
-	// from disjoint pools and an engine never changes kernels mid-life.
+	// FastMath opt-in: swap in the fast registry entry (its engines come
+	// from a disjoint pool; see policyPool).
 	mode := modeExact
 	if fastRequested(r) {
 		if fp, ok := s.fast[key]; ok {
@@ -222,7 +178,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			s.fastReq.Inc()
 		}
 	}
-	met := s.batch.met
+	met := s.batchMet
 	met.requests.Inc()
 	met.items.Add(uint64(len(req.Items)))
 	met.size.Observe(float64(len(req.Items)))
@@ -293,7 +249,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				met.shards.Inc()
-				eng, err := s.batch.engine(p)
+				eng, err := s.engines.get(p)
 				if err != nil {
 					for i := lo; i < hi; i++ {
 						engineResults[i] = core.BatchResult{Err: err}
@@ -301,7 +257,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				copy(engineResults[lo:hi], eng.RunCtx(ctx, engineItems[lo:hi]))
-				s.batch.release(p, eng)
+				s.engines.put(p, eng)
 			}(lo, hi)
 		}
 		wg.Wait()

@@ -148,8 +148,11 @@ func (s *Server) searchBudget(ctx context.Context, p *core.Trained, t traj.Traje
 		kept, err := minsize.Greedy(t, bound, m)
 		return "Min-Size(Greedy)", kept, err
 	}
-	c := s.simp.get(p)
-	defer s.simp.put(p, c)
+	c, err := s.clones.get(p)
+	if err != nil {
+		return "", nil, err
+	}
+	defer s.clones.put(p, c)
 	kept, err := minsize.SearchBudgetCtx(ctx, t, bound, m, func(tr traj.Trajectory, w int) ([]int, error) {
 		return c.SimplifyGreedyCtx(ctx, tr, w)
 	})

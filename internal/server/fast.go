@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
 
 	"rlts/internal/core"
 )
@@ -41,43 +40,4 @@ func fastPolicies(policies map[string]*core.Trained) map[string]*core.Trained {
 		fast[k] = p.FastClone()
 	}
 	return fast
-}
-
-// policyPools hands exclusive Trained clones to concurrent single-request
-// handlers. A policy reuses its forward scratch across calls and is not
-// safe for concurrent use, while the hardening middleware admits up to
-// MaxConcurrent requests at once — so the single-simplify path checks a
-// clone out per request instead of sharing the registered instance.
-// Clones inherit the source's kernel selection (rl.Policy.Clone), so the
-// pool keyed by a fast registry entry stays fast.
-type policyPools struct {
-	mu    sync.Mutex
-	pools map[*core.Trained]*sync.Pool
-}
-
-func newPolicyPools() *policyPools {
-	return &policyPools{pools: make(map[*core.Trained]*sync.Pool)}
-}
-
-// get checks out an exclusive clone of p, building one on pool miss.
-func (pp *policyPools) get(p *core.Trained) *core.Trained {
-	pp.mu.Lock()
-	pool, ok := pp.pools[p]
-	if !ok {
-		pool = &sync.Pool{}
-		pp.pools[p] = pool
-	}
-	pp.mu.Unlock()
-	if c, ok := pool.Get().(*core.Trained); ok {
-		return c
-	}
-	return &core.Trained{Opts: p.Opts, Policy: p.Policy.Clone()}
-}
-
-// put returns a clone checked out with get(p).
-func (pp *policyPools) put(p *core.Trained, c *core.Trained) {
-	pp.mu.Lock()
-	pool := pp.pools[p]
-	pp.mu.Unlock()
-	pool.Put(c)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
@@ -116,15 +115,6 @@ func (sr *statusRecorder) Status() int {
 		return http.StatusOK
 	}
 	return sr.status
-}
-
-type requestIDKey struct{}
-
-// RequestIDFromContext returns the request's X-Request-ID (client-supplied
-// or generated by Harden), or "" outside an instrumented request.
-func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }
 
 // newRequestID generates a 16-hex-char random request id.

@@ -96,15 +96,16 @@ const (
 type Server struct {
 	mux        *http.ServeMux
 	cfg        Config
-	policies   map[string]*core.Trained // lower-case name -> policy
-	fast       map[string]*core.Trained // FastClones under the same keys (see fast.go)
-	simp       *policyPools
+	policies   map[string]*core.Trained       // lower-case name -> policy
+	fast       map[string]*core.Trained       // FastClones under the same keys (see fast.go)
+	clones     *policyPool[*core.Trained]     // single-trajectory policy runs
+	engines    *policyPool[*core.BatchEngine] // batch shards
+	batchMet   *batchMetricsSet
 	fastReq    *obs.Counter
 	boundUnmet *obs.Counter
 	repairMet  *repairMetrics
 	streams    *streamManager
 	fleets     *fleetManager
-	batch      *batchRunner
 }
 
 // New creates a server with the given trained policies registered under
@@ -128,7 +129,9 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	if !s.cfg.DisableFast {
 		s.fast = fastPolicies(s.policies)
 	}
-	s.simp = newPolicyPools()
+	s.clones = newPolicyPool(cloneTrained)
+	s.engines = newPolicyPool(greedyEngine)
+	s.batchMet = newBatchMetricsSet(s.cfg.Metrics)
 	s.fastReq = s.cfg.Metrics.Counter("rlts_fast_requests_total",
 		"Policy runs served with the FastMath kernels (?fast=1)")
 	s.boundUnmet = s.cfg.Metrics.Counter("rlts_bound_unmet_total",
@@ -136,7 +139,6 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	s.repairMet = newRepairMetrics(s.cfg.Metrics)
 	s.streams = newStreamManager(s.policies, s.cfg)
 	s.fleets = newFleetManager(s.cfg)
-	s.batch = newBatchRunner(s.cfg)
 	s.startFleetJanitor()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.Handle("/metrics", s.cfg.Metrics.Handler())
@@ -200,25 +202,25 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // (Min-Size: fixed error, smallest output) may be set; see bounded.go
 // for the bound mode.
 type simplifyRequest struct {
-	Algorithm string       `json:"algorithm"`
-	Measure   string       `json:"measure"`
-	W         int          `json:"w"`
-	Ratio     float64      `json:"ratio"`
-	Bound     *float64     `json:"bound,omitempty"`
+	Algorithm string        `json:"algorithm"`
+	Measure   string        `json:"measure"`
+	W         int           `json:"w"`
+	Ratio     float64       `json:"ratio"`
+	Bound     *float64      `json:"bound,omitempty"`
 	Repair    *repairParams `json:"repair,omitempty"` // opt-in dirty-input repair (see repair.go)
-	Points    [][3]float64 `json:"points"`
+	Points    [][3]float64  `json:"points"`
 }
 
 type simplifyResponse struct {
-	Algorithm string       `json:"algorithm"`
-	Mode      string       `json:"mode"` // "exact" or "fast" — the kernels that ran
-	Kept      int          `json:"kept"`
-	Of        int          `json:"of"`
-	Error     float64      `json:"error"`
-	Bound     *float64     `json:"bound,omitempty"`     // echo of the requested bound
-	BoundMet  *bool        `json:"bound_met,omitempty"` // re-scored by the exact oracle
-	Repair    *repairReportJSON `json:"repair,omitempty"` // per-defect repair accounting
-	Points    [][3]float64 `json:"points"`
+	Algorithm string            `json:"algorithm"`
+	Mode      string            `json:"mode"` // "exact" or "fast" — the kernels that ran
+	Kept      int               `json:"kept"`
+	Of        int               `json:"of"`
+	Error     float64           `json:"error"`
+	Bound     *float64          `json:"bound,omitempty"`     // echo of the requested bound
+	BoundMet  *bool             `json:"bound_met,omitempty"` // re-scored by the exact oracle
+	Repair    *repairReportJSON `json:"repair,omitempty"`    // per-defect repair accounting
+	Points    [][3]float64      `json:"points"`
 }
 
 // decodeBody decodes a JSON request body under the size limit, reporting
@@ -387,9 +389,12 @@ func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int,
 				s.fastReq.Inc()
 			}
 		}
-		c := s.simp.get(p)
+		c, err := s.clones.get(p)
+		if err != nil {
+			return "", nil, mode, err
+		}
 		kept, err := c.SimplifyGreedyCtx(ctx, t, w)
-		s.simp.put(p, c)
+		s.clones.put(p, c)
 		return p.Opts.Name(), kept, mode, err
 	}
 	switch algo {

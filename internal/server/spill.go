@@ -56,6 +56,7 @@ import (
 	"rlts/internal/core"
 	"rlts/internal/storage"
 	"rlts/internal/traj"
+	"rlts/internal/wire"
 )
 
 const (
@@ -114,24 +115,17 @@ func encodeSession(rec *sessionRecord) []byte {
 	state := rec.State.AppendBinary(nil)
 	b := make([]byte, 0, len(spillMagic)+32+len(rec.ID)+len(rec.Key)+len(state))
 	b = append(b, spillMagic...)
-	b = binary.LittleEndian.AppendUint32(b, spillVersion)
-	b = append(b, byte(len(rec.ID)))
-	b = append(b, rec.ID...)
-	b = append(b, byte(len(rec.Key)))
-	b = append(b, rec.Key...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(rec.Seed))
-	b = binary.LittleEndian.AppendUint64(b, uint64(rec.LastActive))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(state)))
-	b = append(b, state...)
+	b = wire.AppendU32(b, spillVersion)
+	b = wire.AppendStr(b, rec.ID)
+	b = wire.AppendStr(b, rec.Key)
+	b = wire.AppendU64(b, uint64(rec.Seed))
+	b = wire.AppendU64(b, uint64(rec.LastActive))
+	b = wire.AppendBlob(b, state)
+	b = wire.AppendBool(b, rec.Repair != nil)
 	if rec.Repair != nil {
-		b = append(b, 1)
-		rs := rec.Repair.AppendBinary(nil)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(rs)))
-		b = append(b, rs...)
-	} else {
-		b = append(b, 0)
+		b = wire.AppendBlob(b, rec.Repair.AppendBinary(nil))
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return wire.AppendU32(b, crc32.ChecksumIEEE(b))
 }
 
 // decodeSession decodes and verifies a spill file. Like the streamer
@@ -149,40 +143,28 @@ func decodeSession(data []byte) (*sessionRecord, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("server: spill file checksum mismatch (%08x != %08x)", got, want)
 	}
-	d := spillReader{buf: body, off: len(spillMagic)}
-	ver := d.u32()
-	if d.err == nil && (ver < spillMinVersion || ver > spillVersion) {
+	d := wire.NewReader(body)
+	d.Take(len(spillMagic))
+	ver := d.U32()
+	if d.Err() == nil && (ver < spillMinVersion || ver > spillVersion) {
 		return nil, fmt.Errorf("server: spill envelope version %d, want %d..%d",
 			ver, spillMinVersion, spillVersion)
 	}
-	rec := &sessionRecord{}
-	rec.ID = d.str(maxSpillID)
-	rec.Key = d.str(maxSpillKey)
-	rec.Seed = int64(d.u64())
-	rec.LastActive = int64(d.u64())
-	stateLen := int(d.u32())
-	if d.err != nil {
-		return nil, fmt.Errorf("server: decode spill file: %w", d.err)
+	rec := &sessionRecord{
+		ID:         d.Str(maxSpillID),
+		Key:        d.Str(maxSpillKey),
+		Seed:       d.I64(),
+		LastActive: d.I64(),
 	}
-	if ver == 1 {
-		// v1: the streamer state runs to the end of the body.
-		if stateLen != len(body)-d.off {
-			return nil, fmt.Errorf("server: spill file declares %d state bytes, %d remain",
-				stateLen, len(body)-d.off)
-		}
-	}
-	stateBytes := d.take(stateLen)
+	stateBytes := d.Blob()
 	var repairBytes []byte
-	if ver >= 2 {
-		if d.bool() {
-			repairBytes = d.take(int(d.u32()))
-		}
-		if d.err == nil && d.off != len(body) {
-			d.err = fmt.Errorf("%d trailing bytes", len(body)-d.off)
-		}
+	// v1: the streamer state runs to the end of the body; v2 follows it
+	// with the repair extension.
+	if ver >= 2 && d.Bool() {
+		repairBytes = d.Blob()
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("server: decode spill file: %w", d.err)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("server: decode spill file: %w", err)
 	}
 	if !validSpillID(rec.ID) {
 		return nil, fmt.Errorf("server: spill file carries invalid session id %q", rec.ID)
@@ -203,60 +185,6 @@ func decodeSession(data []byte) (*sessionRecord, error) {
 		rec.Repair = rs
 	}
 	return rec, nil
-}
-
-// spillReader is a bounds-checked little-endian cursor (reads past the
-// end set err and return zeros).
-type spillReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *spillReader) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at byte %d (need %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *spillReader) bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
-
-func (d *spillReader) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *spillReader) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *spillReader) str(max int) string {
-	n := d.take(1)
-	if n == nil {
-		return ""
-	}
-	if int(n[0]) > max {
-		d.err = fmt.Errorf("string of %d bytes exceeds limit %d", n[0], max)
-		return ""
-	}
-	return string(d.take(int(n[0])))
 }
 
 // spillSessionLocked moves one hot session to disk. The caller holds the

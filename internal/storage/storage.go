@@ -69,7 +69,7 @@ func quantize(p geo.Point, scale float64) (x, y, t int64) {
 // Decode reads a trajectory written by Encode. Coordinates come back
 // quantized to the encoded precision.
 func Decode(r io.Reader) (traj.Trajectory, error) {
-	br := asByteReader(r)
+	br := asByteSource(r)
 	var m [4]byte
 	for i := range m {
 		b, err := br.ReadByte()
@@ -165,13 +165,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-type byteReader interface {
+type byteSource interface {
 	io.Reader
 	io.ByteReader
 }
 
-func asByteReader(r io.Reader) byteReader {
-	if br, ok := r.(byteReader); ok {
+func asByteSource(r io.Reader) byteSource {
+	if br, ok := r.(byteSource); ok {
 		return br
 	}
 	return &simpleByteReader{r: r}

@@ -1,8 +1,10 @@
 package traj
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rlts/internal/geo"
@@ -67,5 +69,25 @@ func TestDecodeRepairStateTotal(t *testing.T) {
 	big[42], big[43], big[44], big[45] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := DecodeRepairState(big); err == nil {
 		t.Fatal("hostile pending count accepted")
+	}
+}
+
+// TestDecodeRepairStateChecksCountBeforeAlloc: a 46-byte blob declaring
+// 1<<20 pending fixes (32 MiB of them) must be rejected before the
+// decoder allocates room for them.
+func TestDecodeRepairStateChecksCountBeforeAlloc(t *testing.T) {
+	// Header up to the pending count: version, window, two floats, the
+	// average flag and both sequence numbers — 42 bytes.
+	blob := NewRepairer(RepairConfig{}).ExportState().AppendBinary(nil)[:42]
+	blob = binary.LittleEndian.AppendUint32(blob, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRepairState(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("blob declaring 1<<20 pending fixes with none present decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding a %d-byte blob allocated %d bytes before failing", len(blob), grew)
 	}
 }

@@ -184,4 +184,6 @@ go test ./internal/traj -run '^$' -fuzz '^FuzzRepair$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSimplifyHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzStatsHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSessionDecode$' -fuzztime "$FUZZTIME"
+go test ./internal/server -run '^$' -fuzz '^FuzzStateEnvelopes$' -fuzztime "$FUZZTIME"
+go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
 echo "check: OK"
