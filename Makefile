@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check check-diff check-stream check-fleet check-bound check-dirty bench-rollout bench-obs bench-batch bench-fast bench-load
+.PHONY: test check check-diff check-kernel check-stream check-fleet check-bound check-dirty bench-rollout bench-obs bench-batch bench-fast bench-load
 
 test:
 	$(GO) test ./...
@@ -12,6 +12,15 @@ test:
 # deeper soak runs (default 1; the gate uses 4).
 check-diff:
 	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 ./internal/check
+
+# Error-kernel pillar: errm.SegmentError's hoisted span kernels against
+# the maximum of the unchanged per-point PointError, compared bit for bit
+# over every adversarial family x measure x span length, plus the fuzz
+# seed corpus and the zero-allocation check, race-enabled. CHECK_SCALE
+# deepens the differential.
+check-kernel:
+	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestSegmentErrorKernelBitIdentity' ./internal/check
+	$(GO) test -race -count=1 -run 'FuzzSegmentError|TestSegmentErrorZeroAlloc' ./internal/errm
 
 # Durable session-store pillar: the spill/rehydrate bit-identity
 # differential, the state codec totality tests, and the server-level

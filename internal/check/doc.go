@@ -13,7 +13,9 @@
 //     errm.Error recomputation (exact); core.Streamer push loops against
 //     the slice-based online core.Simplify on identical feeds (exact when
 //     no skip actions exist); minsize.Optimal against brute-force subset
-//     enumeration on short trajectories; the errm measures against
+//     enumeration on short trajectories; errm.SegmentError's hoisted span
+//     kernels against the maximum of the per-point errm.PointError
+//     (bitwise, every family and span length); the errm measures against
 //     independently coded reference formulas (tolerance-based).
 //   - Metamorphic invariants: all four measures are invariant under
 //     translation, rotation and uniform time shift (rigid motions of the

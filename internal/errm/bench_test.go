@@ -1,9 +1,11 @@
 package errm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"rlts/internal/gen"
 	"rlts/internal/geo"
 	"rlts/internal/traj"
 )
@@ -23,15 +25,18 @@ func benchTraj(n int) traj.Trajectory {
 var sinkF float64
 
 // BenchmarkSegmentError measures the span scan behind n' in the paper's
-// complexity analysis, at a typical span width.
+// complexity analysis: every measure at a typical span width (20 points)
+// and a wide one (200 points), on a dense Geolife-profile trajectory.
 func BenchmarkSegmentError(b *testing.B) {
-	t := benchTraj(1000)
+	t := gen.New(gen.Geolife(), 1).Trajectory(1000)
 	for _, m := range Measures {
-		b.Run(m.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF = SegmentError(m, t, 100, 120) // 20-point span
-			}
-		})
+		for _, w := range []int{20, 200} {
+			b.Run(fmt.Sprintf("%v/span=%d", m, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkF = SegmentError(m, t, 100, 100+w)
+				}
+			})
+		}
 	}
 }
 

@@ -28,6 +28,11 @@
 //     overflows float64. Errors whose true value exceeds the float64
 //     range saturate to +Inf; two speeds that both saturate compare equal
 //     under SAD.
+//
+// SegmentError's span kernels (kernel.go) hoist the anchor's quantities
+// out of the per-point loop without changing any of these conventions:
+// they return bit for bit the maximum of PointError over the span, and
+// they reach the overflow slow paths through PointError itself.
 package errm
 
 import (
@@ -132,42 +137,23 @@ func motionAt(t traj.Trajectory, i, b int) geo.Segment {
 // SegmentError returns the error of the anchor segment T[a]T[b] w.r.t. the
 // sub-trajectory T[a..b] it approximates: the maximum error over the points
 // (for SED/PED) or original motion segments (for DAD/SAD) it covers.
-// Adjacent anchors (b == a+1) have zero error by construction.
+// Adjacent anchors (b == a+1) have zero error by construction. The value
+// is bit-identical to the maximum of PointError over those points; the
+// span kernels in kernel.go only hoist the anchor's work out of the loop.
 func SegmentError(m Measure, t traj.Trajectory, a, b int) float64 {
 	if b <= a+1 {
 		return 0
 	}
-	anchor := t.Segment(a, b)
-	var worst float64
 	switch m {
-	case SED:
-		for i := a + 1; i < b; i++ {
-			if d := geo.SynchronizedDistance(anchor, t[i]); d > worst {
-				worst = d
-			}
-		}
-	case PED:
-		for i := a + 1; i < b; i++ {
-			if d := geo.PerpendicularDistance(anchor, t[i]); d > worst {
-				worst = d
-			}
-		}
+	case SED, PED:
+		return distSpan(m, t, a, b)
 	case DAD:
-		for i := a; i < b; i++ {
-			if d := geo.DirectionDistance(anchor, t.Segment(i, i+1)); d > worst {
-				worst = d
-			}
-		}
+		return dadSpan(t, a, b)
 	case SAD:
-		for i := a; i < b; i++ {
-			if d := geo.SpeedDistance(anchor, t.Segment(i, i+1)); d > worst {
-				worst = d
-			}
-		}
+		return sadSpan(t, a, b)
 	default:
 		panic(fmt.Sprintf("errm: invalid measure %d", int(m)))
 	}
-	return worst
 }
 
 // OnlineValue returns the buffer-local value of a candidate drop point in

@@ -1,7 +1,6 @@
 package errm
 
 import (
-	"container/heap"
 	"fmt"
 
 	"rlts/internal/traj"
@@ -28,7 +27,7 @@ type Tracker struct {
 	tail int // last kept index, -1 before the first Extend
 	kept int
 
-	segErr map[int]float64 // link start index -> link error
+	segErr []float64 // segErr[a] = error of the link starting at kept a, -1 if none
 	maxima lazyMax
 }
 
@@ -47,10 +46,11 @@ func NewTracker(m Measure, t traj.Trajectory) *Tracker {
 		in:     make([]bool, len(t)),
 		tail:   0,
 		kept:   1,
-		segErr: make(map[int]float64),
+		segErr: make([]float64, len(t)),
 	}
 	for i := range tr.prev {
 		tr.prev[i], tr.next[i] = -1, -1
+		tr.segErr[i] = -1
 	}
 	tr.in[0] = true
 	return tr
@@ -141,26 +141,36 @@ func (tr *Tracker) addLink(a, b int) {
 }
 
 func (tr *Tracker) removeLink(a int) {
-	e, ok := tr.segErr[a]
-	if !ok {
+	e := tr.segErr[a]
+	if e < 0 {
 		panic(fmt.Sprintf("errm: removing unknown link at %d", a))
 	}
-	delete(tr.segErr, a)
+	tr.segErr[a] = -1
 	tr.maxima.Remove(e)
 }
 
 // lazyMax is a multiset of float64 supporting Push, Remove and Max in
 // O(log n) amortized, implemented as a max-heap with a deferred-deletion
-// count map.
+// count map. The heap is a typed slice with its own sift-up/sift-down, so
+// a Push does not box its value into an interface as container/heap would.
 type lazyMax struct {
-	h     maxHeap
+	h     []float64
 	dead  map[float64]int
 	alive int
 }
 
 // Push adds v to the multiset.
 func (l *lazyMax) Push(v float64) {
-	heap.Push(&l.h, v)
+	l.h = append(l.h, v)
+	h := l.h
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !(h[i] > h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 	l.alive++
 }
 
@@ -175,7 +185,7 @@ func (l *lazyMax) Remove(v float64) {
 
 // Max returns the largest live value, or 0 if the multiset is empty.
 func (l *lazyMax) Max() float64 {
-	for l.h.Len() > 0 {
+	for len(l.h) > 0 {
 		top := l.h[0]
 		if n := l.dead[top]; n > 0 {
 			if n == 1 {
@@ -183,7 +193,7 @@ func (l *lazyMax) Max() float64 {
 			} else {
 				l.dead[top] = n - 1
 			}
-			heap.Pop(&l.h)
+			l.popTop()
 			continue
 		}
 		return top
@@ -191,19 +201,29 @@ func (l *lazyMax) Max() float64 {
 	return 0
 }
 
+// popTop removes the heap root: the last element moves to the root and
+// sifts down past every larger child.
+func (l *lazyMax) popTop() {
+	h := l.h
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r] > h[c] {
+			c = r
+		}
+		if !(h[c] > h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	l.h = h
+}
+
 // Len returns the number of live values.
 func (l *lazyMax) Len() int { return l.alive }
-
-type maxHeap []float64
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}

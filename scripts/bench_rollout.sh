@@ -3,7 +3,8 @@
 #
 # BenchmarkTrainParallel trains the same policy (bit-identical output) at
 # workers=1/2/4; the speedup column is only meaningful when GOMAXPROCS > 1.
-# The micro benches document the zero-allocation hot paths.
+# The micro benches document the zero-allocation hot paths and the
+# SegmentError span kernels (median of 5 per case).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,8 @@ echo "== Hot-path allocation benches =="
 go test ./internal/rl/ -run xxx -bench 'Rollout|ProbsInto' -benchmem
 go test ./internal/core/ -run xxx -bench BenchmarkBuildState -benchmem
 go test ./internal/buffer/ -run xxx -bench BenchmarkKLowest -benchmem
+echo "== SegmentError span kernels (segment_error section) =="
+go test ./internal/errm/ -run xxx -bench BenchmarkSegmentError -benchmem -count 5
 echo
 echo "Update BENCH_rollout.json with the numbers above, including the"
 echo "machine block's num_cpu=$NUM_CPU and gomaxprocs=$MAXPROCS; on a"

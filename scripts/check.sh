@@ -28,6 +28,15 @@ echo "== batch-engine differential (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestBatchEngineDifferential' ./internal/check
 go test -race -count=1 -run 'TestBatchEngine|TestForwardBatch|TestRunSetBatched' ./internal/core ./internal/nn ./internal/eval
 
+# Error-kernel pillar: errm.SegmentError's hoisted span kernels must be
+# bit-identical (math.Float64bits) to the maximum of the unchanged
+# per-point PointError over every adversarial family x measure x span
+# length, plus the fuzz target's seed corpus (signed zeros, subnormals,
+# near-MaxFloat64, the +Inf lerp tie) and the zero-allocation check.
+echo "== error-kernel pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
+CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestSegmentErrorKernelBitIdentity' ./internal/check
+go test -race -count=1 -run 'FuzzSegmentError|TestSegmentErrorZeroAlloc' ./internal/errm
+
 # FastMath tolerance pillar: the fused approximate kernels against the
 # exact path on real decision states — abs/rel bounds on every ProbsBatch
 # output, argmax stability on every adversarial family, end-to-end greedy
@@ -186,4 +195,5 @@ go test ./internal/server -run '^$' -fuzz '^FuzzStatsHandler$' -fuzztime "$FUZZT
 go test ./internal/server -run '^$' -fuzz '^FuzzSessionDecode$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzStateEnvelopes$' -fuzztime "$FUZZTIME"
 go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
+go test ./internal/errm -run '^$' -fuzz '^FuzzSegmentError$' -fuzztime "$FUZZTIME"
 echo "check: OK"
